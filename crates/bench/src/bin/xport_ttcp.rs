@@ -62,7 +62,7 @@ fn main() {
 
     let mut t = Table::new(
         "Streaming throughput",
-        &["path", "messages", "msg B", "MB/s", "retrans", "proxy drops"],
+        &["path", "messages", "msg B", "MB/s", "retrans", "proxy drops", "kernel drops"],
     );
     t.row(&[
         "live direct".into(),
@@ -71,6 +71,7 @@ fn main() {
         f1(direct.mbytes_per_sec),
         direct.retransmissions.to_string(),
         "0".into(),
+        direct.kernel_drops.to_string(),
     ]);
     t.row(&[
         "live 2% loss + reorder".into(),
@@ -79,6 +80,7 @@ fn main() {
         f1(impaired.mbytes_per_sec),
         impaired.retransmissions.to_string(),
         impaired.proxy_dropped.to_string(),
+        impaired.kernel_drops.to_string(),
     ]);
     t.row(&[
         "DES QPIP (Fig. 4)".into(),
@@ -86,6 +88,7 @@ fn main() {
         "16384".into(),
         f1(des_ttcp.mbytes_per_sec),
         des_ttcp.retransmissions.to_string(),
+        "-".into(),
         "-".into(),
     ]);
     t.print();
@@ -95,6 +98,10 @@ fn main() {
         println!("  [{}] {}", if ok { "ok" } else { "MISS" }, name);
     };
     check("every direct message delivered in order", direct.messages == messages);
+    check(
+        "direct stream: 0 retransmissions, 0 kernel drops",
+        direct.retransmissions == 0 && direct.kernel_drops == 0,
+    );
     check(
         "impaired stream delivered exactly-once despite drops",
         impaired.messages == impaired_messages && impaired.proxy_dropped > 0,

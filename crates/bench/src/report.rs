@@ -332,6 +332,7 @@ mod tests {
             mbytes_per_sec: 35.7,
             retransmissions: 3,
             proxy_dropped: 12,
+            kernel_drops: 0,
         }
     }
 

@@ -51,6 +51,9 @@ pub struct LiveStream {
     /// Datagrams the impairment proxy deliberately dropped (0 when
     /// running direct).
     pub proxy_dropped: u64,
+    /// Datagrams the kernel dropped at either node's socket (0 once each
+    /// node's window fits its socket buffer).
+    pub kernel_drops: u64,
 }
 
 fn pair() -> (XportNode, XportNode) {
@@ -146,9 +149,10 @@ pub fn live_rtt(rounds: u32, payload: usize) -> LiveRtt {
 /// Streams `messages` messages of `message_len` bytes from one live
 /// node to another, optionally through an impairment proxy, and
 /// reports goodput. Delivery is verified exactly-once in-order on the
-/// receiver; the wall clock only prices it. Also returns the sender's
-/// unified counter snapshots (`engine`, `xport`, and `proxy` when
-/// impaired) for the benches' `counters` JSON section.
+/// receiver; the wall clock only prices it. Also returns the unified
+/// counter snapshots (the sender's `engine` and `xport`, the receiver's
+/// `xport_sink`, and `proxy` when impaired) for the benches' `counters`
+/// JSON section.
 pub fn live_stream(
     messages: u32,
     message_len: usize,
@@ -197,6 +201,9 @@ pub fn live_stream(
         while Instant::now() < until {
             b.pump(Duration::from_millis(10)).expect("pump");
         }
+        // sampled while the socket lives: its kernel drop count goes
+        // with it
+        b.stats()
     });
 
     let send_cq = a.create_cq();
@@ -234,9 +241,15 @@ pub fn live_stream(
     while Instant::now() < until {
         a.pump(Duration::from_millis(10)).expect("pump");
     }
-    sink.join().expect("sink thread");
+    let sink_stats = sink.join().expect("sink thread");
 
-    let mut counters = vec![a.engine().stats().snapshot(), a.stats().snapshot()];
+    let a_stats = a.stats();
+    let kernel_drops = a_stats.kernel_drops + sink_stats.kernel_drops;
+    let mut counters = vec![
+        a.engine().stats().snapshot(),
+        a_stats.snapshot(),
+        sink_stats.snapshot().rescoped("xport_sink"),
+    ];
     let proxy_dropped = proxy.map_or(0, |p| {
         counters.push(p.stats().snapshot());
         p.stats().dropped
@@ -250,6 +263,7 @@ pub fn live_stream(
         mbytes_per_sec: bytes as f64 / 1e6 / wall_s,
         retransmissions,
         proxy_dropped,
+        kernel_drops,
     };
     (stream, counters)
 }

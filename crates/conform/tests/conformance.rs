@@ -155,6 +155,24 @@ fn out_of_order_segment_is_dropped_with_duplicate_ack() {
 }
 
 #[test]
+fn out_of_order_drops_are_counted_in_engine_stats_across_the_reap() {
+    let mut h = Harness::server(cfg(), PORT);
+    let iss = h.handshake(100);
+    h.inject(seg().seq(201).ack(iss + 1).payload(&[0xaa; 50]));
+    h.expect(Expect::pure_ack().ack_no(101));
+    assert_eq!(h.stats().ooo_drops, 1);
+    assert_eq!(h.stats().snapshot().get("ooo_drops"), Some(1));
+    // passive close to the reap: the total folds into the base stats
+    h.inject(seg().fin().seq(101).ack(iss + 1));
+    h.expect(Expect::pure_ack().ack_no(102));
+    h.close();
+    h.expect(Expect::fin_seg().seq(iss + 1).ack_no(102));
+    h.inject(seg().seq(102).ack(iss + 2));
+    assert_eq!(h.engine().conn_count(), 0);
+    assert_eq!(h.stats().ooo_drops, 1);
+}
+
+#[test]
 fn duplicate_data_is_reacked_not_redelivered() {
     let mut h = Harness::server(cfg(), PORT);
     let iss = h.handshake(100);

@@ -91,6 +91,9 @@ pub struct EngineStats {
     /// Peer-window transitions to zero, summed over live and reaped
     /// connections.
     pub zero_window_events: u64,
+    /// Out-of-order segments dropped (the subset has no reassembly),
+    /// summed over live and reaped connections.
+    pub ooo_drops: u64,
 }
 
 impl EngineStats {
@@ -106,7 +109,8 @@ impl EngineStats {
             .push("rto_retransmits", self.rto_retransmits)
             .push("fast_retransmits", self.fast_retransmits)
             .push("dupacks_rx", self.dupacks_rx)
-            .push("zero_window_events", self.zero_window_events);
+            .push("zero_window_events", self.zero_window_events)
+            .push("ooo_drops", self.ooo_drops);
         s
     }
 }
@@ -266,6 +270,7 @@ impl Engine {
             s.fast_retransmits += e.tcb.fast_retransmits();
             s.dupacks_rx += e.tcb.dupacks_rx();
             s.zero_window_events += e.tcb.zero_window_events();
+            s.ooo_drops += e.tcb.ooo_drops();
         }
         s
     }
@@ -815,6 +820,7 @@ impl Engine {
         self.stats.fast_retransmits += tcb.fast_retransmits();
         self.stats.dupacks_rx += tcb.dupacks_rx();
         self.stats.zero_window_events += tcb.zero_window_events();
+        self.stats.ooo_drops += tcb.ooo_drops();
     }
 
     /// Emits a [`TraceEvent::SegRx`] for a parsed inbound segment.

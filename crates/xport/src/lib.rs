@@ -21,6 +21,17 @@
 //!   so retransmit and delayed-ACK timers fire on time without a
 //!   dedicated timer thread.
 //!
+//! * **Buffer mapping** — the socket's kernel receive buffer is the
+//!   stand-in for the NIC's receive SRAM: the one place a datagram waits
+//!   between the wire and the engine. [`XportNode::bind`] asks for a
+//!   large `SO_RCVBUF` and reads back the grant; no connection then
+//!   advertises more than the grant holds
+//!   ([`XportNode::recv_window_cap`]: `min(posted WR bytes, cap)`, each
+//!   datagram charged its MTU-derived kernel footprint), so a small
+//!   buffer shrinks the window rather than dropping datagrams.
+//!   [`XportStats`] reports the grant (`rcvbuf_bytes`) and the kernel's
+//!   drop count for the socket (`kernel_drops`).
+//!
 //! On top of the runtime sits a **verbs facade** mirroring the per-node
 //! surface of `qpip::world::QpipWorld` (`create_cq`/`create_qp`/
 //! `udp_bind`/`tcp_listen`/`tcp_connect`/`post_send`/`post_recv`/
@@ -38,12 +49,16 @@
 //! ordering and exactly-once semantics, never latencies, because the
 //! wall clock jitters.
 
-#![forbid(unsafe_code)]
+// `deny`, not `forbid`: the `sys` module carries one audited
+// `allow(unsafe_code)` for the hand-declared `setsockopt`/`getsockopt`
+// that size the socket receive buffer; everything else stays safe Rust.
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod clock;
 pub mod node;
 pub mod proxy;
+mod sys;
 
 pub use clock::WallClock;
 pub use node::{XportConfig, XportError, XportNode, XportStats};

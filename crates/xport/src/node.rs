@@ -21,6 +21,7 @@ use std::net::{Ipv6Addr, SocketAddr, UdpSocket};
 use std::time::{Duration, Instant};
 
 use crate::clock::WallClock;
+use crate::sys;
 use qpip_netstack::engine::{Engine, EngineError};
 use qpip_netstack::types::{ConnId, Emit, Endpoint, NetConfig, PacketOut, SendToken};
 use qpip_nic::types::{
@@ -33,6 +34,36 @@ use qpip_trace::{Snapshot, TraceEvent, Tracer};
 /// default MTU (9000, jumbo-frame class like the paper's Myrinet MTU)
 /// fits comfortably.
 const RECV_BUF: usize = 65536;
+
+/// Receive buffer each node's socket asks the kernel for at bind. The
+/// socket buffer is this runtime's stand-in for the NIC's receive SRAM:
+/// the only place a datagram can wait between the wire and the engine,
+/// so every byte a connection advertises must fit in it (§5.1). The
+/// kernel clamps the request to `net.core.rmem_max`; the window cap is
+/// derived from what it grants, so a small grant shrinks the window
+/// instead of losing datagrams.
+pub(crate) const SOCKET_RCVBUF: usize = 4 << 20;
+
+/// Bytes Linux allocates per queued datagram beyond the datagram itself,
+/// before rounding the allocation up to a power of two: room for the
+/// link, IP and UDP headers plus the `skb_shared_info` tail.
+const SKB_DATA_OVERHEAD: usize = 512;
+
+/// The `struct sk_buff` charged on top of every datagram's allocation.
+const SKB_STRUCT: usize = 256;
+
+/// Largest window a node may advertise with `granted` bytes of socket
+/// buffer: how many MTU-sized datagrams the buffer holds, each charged
+/// its kernel footprint, times the payload credited per datagram. The
+/// credit is half a full segment, so the promise holds for every message
+/// of at least half a segment — a smaller message still costs an
+/// MTU-class allocation of at most the same footprint. At least one
+/// datagram is always allowed, so a tiny grant cannot close the window.
+fn window_cap(granted: usize, net: &NetConfig) -> u64 {
+    let footprint = (net.mtu + SKB_DATA_OVERHEAD).next_power_of_two() + SKB_STRUCT;
+    let datagrams = (granted / footprint).max(1);
+    (datagrams * (net.max_tcp_payload() / 2).max(1)) as u64
+}
 
 /// Configuration for one live node.
 #[derive(Debug, Clone)]
@@ -127,6 +158,12 @@ pub struct XportStats {
     pub udp_no_wr_drops: u64,
     /// TCP messages parked in the backlog awaiting a receive WR.
     pub tcp_backlogged: u64,
+    /// Datagrams the kernel dropped before this node read them — the
+    /// socket's `drops` column in `/proc/net/udp` (or `udp6`); 0 where
+    /// `/proc` is unavailable.
+    pub kernel_drops: u64,
+    /// Receive buffer the kernel granted this node's socket at bind.
+    pub rcvbuf_bytes: u64,
 }
 
 impl XportStats {
@@ -137,7 +174,9 @@ impl XportStats {
             .push("datagrams_tx", self.datagrams_tx)
             .push("unroutable_drops", self.unroutable_drops)
             .push("udp_no_wr_drops", self.udp_no_wr_drops)
-            .push("tcp_backlogged", self.tcp_backlogged);
+            .push("tcp_backlogged", self.tcp_backlogged)
+            .push("kernel_drops", self.kernel_drops)
+            .push("rcvbuf_bytes", self.rcvbuf_bytes);
         s
     }
 }
@@ -181,6 +220,9 @@ pub struct XportNode {
     last_refresh: Instant,
     buf: Vec<u8>,
     stats: XportStats,
+    /// Most a connection may advertise: the payload the socket buffer
+    /// holds (see [`window_cap`]).
+    recv_window_cap: u64,
     /// Flight-recorder handle; also installed into the embedded engine.
     /// Events are stamped with this node's wall-clock-mapped [`SimTime`].
     tracer: Option<Tracer>,
@@ -208,7 +250,13 @@ impl XportNode {
     pub fn bind(fabric_addr: Ipv6Addr, cfg: XportConfig) -> io::Result<XportNode> {
         let sock = UdpSocket::bind(cfg.bind)?;
         sock.set_read_timeout(Some(Duration::from_millis(1)))?;
-        let engine = Engine::new(cfg.net.clone(), fabric_addr);
+        let rcvbuf = sys::size_rcvbuf(&sock, SOCKET_RCVBUF)?;
+        let recv_window_cap = window_cap(rcvbuf, &cfg.net);
+        // the engine's initial receive space is what SYNs and SYN-ACKs
+        // advertise before the node sets the posted-WR window: cap it too
+        let mut net = cfg.net.clone();
+        net.recv_buffer = net.recv_buffer.min(recv_window_cap as usize);
+        let engine = Engine::new(net, fabric_addr);
         Ok(XportNode {
             cfg,
             sock,
@@ -226,7 +274,8 @@ impl XportNode {
             next_token: 1,
             last_refresh: Instant::now(),
             buf: vec![0; RECV_BUF],
-            stats: XportStats::default(),
+            stats: XportStats { rcvbuf_bytes: rcvbuf as u64, ..XportStats::default() },
+            recv_window_cap,
             tracer: None,
         })
     }
@@ -263,9 +312,18 @@ impl XportNode {
         self.peers.insert(fabric, at);
     }
 
-    /// Runtime counters.
+    /// Runtime counters. Reads the kernel's drop count for this socket
+    /// from `/proc` on every call, so keep it out of timed loops.
     pub fn stats(&self) -> XportStats {
-        self.stats
+        let kernel_drops = self.sock.local_addr().map_or(0, kernel_drops);
+        XportStats { kernel_drops, ..self.stats }
+    }
+
+    /// The most any connection on this node advertises, in bytes: the
+    /// payload the socket buffer granted at bind holds. A QP with more
+    /// receive-WR space posted than this advertises this instead.
+    pub fn recv_window_cap(&self) -> u64 {
+        self.recv_window_cap
     }
 
     /// The current instant on this node's wall-clock-backed simulation
@@ -420,7 +478,7 @@ impl XportNode {
         self.dispatch(emits)?;
         // announce the posted-WR window so the SYN-ACK peer sees real
         // space as soon as the handshake completes (§5.1)
-        let upd = self.engine.set_recv_space(self.clock.now(), conn, posted)?;
+        let upd = self.advertise(conn, posted)?;
         self.dispatch(upd)?;
         Ok(())
     }
@@ -497,7 +555,7 @@ impl XportNode {
             // message may have consumed the WR just posted, and the
             // advertised window must equal the space actually available
             let posted = self.qps[&qp].posted_bytes;
-            let emits = self.engine.set_recv_space(self.clock.now(), conn, posted)?;
+            let emits = self.advertise(conn, posted)?;
             if was_small && established {
                 self.dispatch(emits)?;
             }
@@ -645,8 +703,7 @@ impl XportNode {
             .filter_map(|q| q.conn.map(|c| (c, q.posted_bytes)))
             .collect();
         for (conn, posted) in live {
-            let now = self.clock.now();
-            if let Ok(emits) = self.engine.set_recv_space(now, conn, posted) {
+            if let Ok(emits) = self.advertise(conn, posted) {
                 self.dispatch(emits)?;
             }
         }
@@ -827,7 +884,15 @@ impl XportNode {
             },
         );
         // announce the real (posted-WR) window now that we are connected
-        Ok(self.engine.set_recv_space(now, conn, posted).unwrap_or_default())
+        Ok(self.advertise(conn, posted).unwrap_or_default())
+    }
+
+    /// Sets a connection's receive window to its posted-WR space, capped
+    /// at what the socket buffer holds: the node never promises room a
+    /// datagram could not land in.
+    fn advertise(&mut self, conn: ConnId, posted: u64) -> Result<Vec<Emit>, EngineError> {
+        let now = self.clock.now();
+        self.engine.set_recv_space(now, conn, posted.min(self.recv_window_cap))
     }
 
     fn mate_connection(
@@ -926,12 +991,17 @@ impl XportNode {
     /// has outstanding, and what the engine thinks is in flight.
     fn pending_summary(&self, cq: CqId) -> String {
         use fmt::Write as _;
+        let stats = self.stats();
         let mut s = format!(
-            "no completion on {cq} within {:?} (fabric {}, {} datagrams rx / {} tx)",
+            "no completion on {cq} within {:?} (fabric {}, {} datagrams rx / {} tx, \
+             {} kernel drops, rcvbuf {}B, window cap {}B)",
             self.cfg.wait_timeout,
             self.fabric_addr(),
-            self.stats.datagrams_rx,
-            self.stats.datagrams_tx,
+            stats.datagrams_rx,
+            stats.datagrams_tx,
+            stats.kernel_drops,
+            stats.rcvbuf_bytes,
+            self.recv_window_cap,
         );
         let mut qps: Vec<_> = self.qps.iter().collect();
         qps.sort_by_key(|(id, _)| id.0);
@@ -955,5 +1025,116 @@ impl XportNode {
             self.engine.retransmissions(),
         );
         s
+    }
+}
+
+/// The kernel's drop count for the UDP socket bound at `local`: its
+/// `drops` column in `/proc/net/udp` (IPv4) or `/proc/net/udp6`. 0 where
+/// `/proc` is missing or the socket is not listed.
+fn kernel_drops(local: SocketAddr) -> u64 {
+    let table = if local.is_ipv4() { "/proc/net/udp" } else { "/proc/net/udp6" };
+    std::fs::read_to_string(table).ok().and_then(|t| socket_drops(&t, local)).unwrap_or(0)
+}
+
+/// Finds the row of a `/proc/net/udp{,6}` table whose local address is
+/// `local` and returns its last column (`drops`). The kernel prints each
+/// 32-bit word of the address as `%08X` of its in-memory value and the
+/// port in host order.
+fn socket_drops(table: &str, local: SocketAddr) -> Option<u64> {
+    let want: Vec<u8> = match local.ip() {
+        std::net::IpAddr::V4(a) => a.octets().to_vec(),
+        std::net::IpAddr::V6(a) => a.octets().to_vec(),
+    };
+    table.lines().skip(1).find_map(|row| {
+        let mut cols = row.split_whitespace();
+        let (addr, port) = cols.nth(1)?.split_once(':')?;
+        if u16::from_str_radix(port, 16).ok()? != local.port() || addr.len() != want.len() * 2 {
+            return None;
+        }
+        let mut bytes = Vec::with_capacity(want.len());
+        for word in addr.as_bytes().chunks(8) {
+            let w = u32::from_str_radix(std::str::from_utf8(word).ok()?, 16).ok()?;
+            bytes.extend_from_slice(&w.to_ne_bytes());
+        }
+        if bytes != want {
+            return None;
+        }
+        cols.last()?.parse().ok()
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Renders an address the way the kernel's `/proc/net/udp{,6}` does.
+    fn proc_addr(a: SocketAddr) -> String {
+        let octets = match a.ip() {
+            std::net::IpAddr::V4(v) => v.octets().to_vec(),
+            std::net::IpAddr::V6(v) => v.octets().to_vec(),
+        };
+        let words: String = octets
+            .chunks(4)
+            .map(|w| format!("{:08X}", u32::from_ne_bytes(w.try_into().unwrap())))
+            .collect();
+        format!("{words}:{:04X}", a.port())
+    }
+
+    fn row(sl: u32, a: SocketAddr, drops: u64) -> String {
+        format!(
+            "  {sl}: {} 00000000:0000 07 00000000:00000000 00:00000000 00000000  1000        0 \
+             4242 2 0000000000000000 {drops}",
+            proc_addr(a)
+        )
+    }
+
+    #[test]
+    fn socket_drops_matches_address_and_port() {
+        let ours: SocketAddr = "127.0.0.1:40001".parse().unwrap();
+        let other_port: SocketAddr = "127.0.0.1:40002".parse().unwrap();
+        let other_addr: SocketAddr = "127.0.0.2:40001".parse().unwrap();
+        let table = format!(
+            "   sl  local_address rem_address   st tx_queue rx_queue tr tm->when retrnsmt   \
+             uid  timeout inode ref pointer drops\n{}\n{}\n{}\n",
+            row(0, other_port, 5),
+            row(1, other_addr, 6),
+            row(2, ours, 1137),
+        );
+        assert_eq!(socket_drops(&table, ours), Some(1137));
+        let absent: SocketAddr = "127.0.0.1:9".parse().unwrap();
+        assert_eq!(socket_drops(&table, absent), None);
+    }
+
+    #[test]
+    fn socket_drops_reads_udp6_rows() {
+        let ours: SocketAddr = "[::1]:5001".parse().unwrap();
+        let table = format!("header\n{}\n", row(0, ours, 3));
+        assert_eq!(socket_drops(&table, ours), Some(3));
+    }
+
+    #[test]
+    fn live_socket_is_found_in_proc_with_no_drops() {
+        let n = XportNode::bind(Ipv6Addr::LOCALHOST, XportConfig::default()).unwrap();
+        let table = std::fs::read_to_string("/proc/net/udp");
+        if let Ok(t) = table {
+            assert_eq!(socket_drops(&t, n.local_addr().unwrap()), Some(0));
+        }
+        assert!(n.stats().rcvbuf_bytes > 0);
+    }
+
+    #[test]
+    fn window_cap_charges_each_datagram_its_kernel_footprint() {
+        let net = NetConfig::qpip(9000);
+        // a 9000 B datagram lands in a 16 KiB allocation plus its sk_buff
+        let footprint = 16384 + SKB_STRUCT;
+        let credit = (net.max_tcp_payload() / 2) as u64;
+        assert_eq!(window_cap(212_992, &net), 12 * credit);
+        assert_eq!(window_cap(8 << 20, &net), (8 << 20) as u64 / footprint as u64 * credit);
+        // a grant smaller than one datagram still admits one
+        assert_eq!(window_cap(4096, &net), credit);
+        // every 8 KiB message the cap admits fits the buffer
+        let granted = 425_984;
+        let messages = window_cap(granted, &net) / 8192;
+        assert!(messages as usize * footprint <= granted);
     }
 }

@@ -116,6 +116,9 @@ impl ImpairProxy {
     /// Propagates socket bind/configuration failures.
     pub fn spawn(self) -> io::Result<ProxyHandle> {
         let sock = UdpSocket::bind("127.0.0.1:0")?;
+        // sized like a node's socket, so the proxy's own losses are only
+        // the injected ones
+        crate::sys::size_rcvbuf(&sock, crate::node::SOCKET_RCVBUF)?;
         sock.set_read_timeout(Some(Duration::from_millis(5)))?;
         let addr = sock.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));

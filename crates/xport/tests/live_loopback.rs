@@ -7,19 +7,33 @@
 //! byte stream survives intact.
 
 use std::net::Ipv6Addr;
-use std::sync::Arc;
+use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::{Duration, Instant};
 
-use qpip_netstack::types::Endpoint;
+use qpip_netstack::engine::EngineStats;
+use qpip_netstack::types::{ConnId, Endpoint, NetConfig};
 use qpip_nic::types::{CompletionKind, CompletionStatus, CqId, QpId, RecvWr, SendWr, ServiceType};
 use qpip_trace::{FlightRecorder, TraceEvent, Tracer};
-use qpip_xport::{ImpairConfig, ImpairProxy, XportConfig, XportError, XportNode};
+use qpip_xport::{ImpairConfig, ImpairProxy, XportConfig, XportError, XportNode, XportStats};
 
 const FABRIC_A: Ipv6Addr = Ipv6Addr::new(0xfc00, 0, 0, 0, 0, 0, 0, 1);
 const FABRIC_B: Ipv6Addr = Ipv6Addr::new(0xfc00, 0, 0, 0, 0, 0, 0, 2);
 
 fn node(fabric: Ipv6Addr) -> XportNode {
     XportNode::bind(fabric, XportConfig::default()).expect("bind loopback")
+}
+
+/// Tests that move traffic share the machine's cores; the one asserting
+/// zero retransmissions runs alone so a descheduled thread cannot sit
+/// out the 10 ms minimum RTO.
+static CORES: RwLock<()> = RwLock::new(());
+
+fn shared_cores() -> RwLockReadGuard<'static, ()> {
+    CORES.read().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
+fn exclusive_cores() -> RwLockWriteGuard<'static, ()> {
+    CORES.write().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 /// Deterministic payload for message `seq`: a 4-byte sequence header
@@ -34,6 +48,7 @@ fn message(seq: u32, len: usize) -> Vec<u8> {
 
 #[test]
 fn udp_datagram_crosses_live_sockets() {
+    let _shared = shared_cores();
     let mut a = node(FABRIC_A);
     let mut b = node(FABRIC_B);
     a.add_peer(FABRIC_B, b.local_addr().unwrap());
@@ -82,17 +97,30 @@ fn udp_datagram_crosses_live_sockets() {
     assert_eq!(got.status, CompletionStatus::Success);
 }
 
+/// What a [`transfer`] leaves behind for the assertions.
+struct Transfer {
+    /// Messages the server received, in order.
+    received: Vec<Vec<u8>>,
+    /// Client engine counters, sampled before close: the teardown that
+    /// follows is not part of the transfer.
+    client_engine: EngineStats,
+    /// Both nodes' runtime counters, sampled while their sockets live.
+    client: XportStats,
+    server: XportStats,
+}
+
 /// Runs a TCP transfer of `count` messages of `len` bytes from a
 /// client node to a server node whose sockets are already wired
-/// (directly or through a proxy). Returns the messages the server
-/// received, in order, plus the client node for post-mortem stats.
+/// (directly or through a proxy). The server stops reading for `pause`
+/// after each message it takes.
 fn transfer(
     mut client: XportNode,
     server: XportNode,
     count: u32,
     len: usize,
-) -> (Vec<Vec<u8>>, u64) {
-    let server_thread = std::thread::spawn(move || run_server(server, count, len));
+    pause: Duration,
+) -> Transfer {
+    let server_thread = std::thread::spawn(move || run_server(server, count, len, pause));
 
     let cq_conn = client.create_cq();
     let cq_send = client.create_cq();
@@ -124,23 +152,29 @@ fn transfer(
         completed += 1;
     }
 
-    // sample before close: the engine's per-connection counters die
-    // with the connection slab entry
-    let retransmissions = client.engine().retransmissions();
+    // sample before close: a FIN retransmitted while this thread waits
+    // on the server is teardown, not transfer
+    let client_engine = client.engine().stats();
     client.tcp_close(qp).unwrap();
-    let received = server_thread.join().expect("server thread");
+    let (received, server_stats) = server_thread.join().expect("server thread");
     // let the FIN handshake drain; nothing is asserted about it (under
     // loss the teardown may outlive our patience — data already landed)
     let until = Instant::now() + Duration::from_millis(300);
     while Instant::now() < until {
         client.pump(Duration::from_millis(10)).unwrap();
     }
-    (received, retransmissions)
+    Transfer { received, client_engine, client: client.stats(), server: server_stats }
 }
 
 /// Server side: one listening QP, keeps `QUEUE` receive WRs posted,
-/// collects `count` messages, then closes.
-fn run_server(mut server: XportNode, count: u32, len: usize) -> Vec<Vec<u8>> {
+/// collects `count` messages (idling `pause` after each), then closes.
+/// Returns the messages and the server's counters.
+fn run_server(
+    mut server: XportNode,
+    count: u32,
+    len: usize,
+    pause: Duration,
+) -> (Vec<Vec<u8>>, XportStats) {
     const QUEUE: u32 = 64;
     let cq = server.create_cq();
     let qp = server.create_qp(ServiceType::ReliableTcp, cq, cq).unwrap();
@@ -161,6 +195,9 @@ fn run_server(mut server: XportNode, count: u32, len: usize) -> Vec<Vec<u8>> {
                 }
                 // recycle the consumed WR to keep the window open
                 server.post_recv(qp, RecvWr { wr_id: 0, capacity: len }).unwrap();
+                if !pause.is_zero() {
+                    std::thread::sleep(pause);
+                }
             }
             CompletionKind::PeerDisconnected => {
                 panic!("peer closed after {} of {count} messages", got.len())
@@ -173,7 +210,7 @@ fn run_server(mut server: XportNode, count: u32, len: usize) -> Vec<Vec<u8>> {
     while Instant::now() < until {
         server.pump(Duration::from_millis(10)).unwrap();
     }
-    got
+    (got, server.stats())
 }
 
 fn assert_exactly_once_in_order(received: &[Vec<u8>], count: u32, len: usize) {
@@ -185,13 +222,95 @@ fn assert_exactly_once_in_order(received: &[Vec<u8>], count: u32, len: usize) {
 
 #[test]
 fn tcp_transfer_direct() {
+    let _shared = shared_cores();
     let mut client = node(FABRIC_A);
     let mut server = node(FABRIC_B);
     client.add_peer(FABRIC_B, server.local_addr().unwrap());
     server.add_peer(FABRIC_A, client.local_addr().unwrap());
 
-    let (received, _retrans) = transfer(client, server, 100, 1024);
-    assert_exactly_once_in_order(&received, 100, 1024);
+    let t = transfer(client, server, 100, 1024, Duration::ZERO);
+    assert_exactly_once_in_order(&t.received, 100, 1024);
+}
+
+/// The socket buffer is the NIC's receive SRAM here: sized at bind and
+/// never promised beyond, so a full-window stream of 8 KiB messages
+/// loses nothing in the kernel and never waits out a retransmission.
+/// The receiver idles briefly after every message, so the sender keeps
+/// its 32 messages in flight queued in the receiver's socket — more than
+/// a default-sized buffer holds — while every ACK still returns well
+/// inside the 10 ms minimum RTO.
+#[test]
+fn direct_stream_loses_no_datagram_in_the_kernel() {
+    let _alone = exclusive_cores();
+    let mut client = node(FABRIC_A);
+    let mut server = node(FABRIC_B);
+    client.add_peer(FABRIC_B, server.local_addr().unwrap());
+    server.add_peer(FABRIC_A, client.local_addr().unwrap());
+
+    let (count, len) = (1024, 8192);
+    let t = transfer(client, server, count, len, Duration::from_micros(100));
+    assert_exactly_once_in_order(&t.received, count, len);
+    assert_eq!(t.client.kernel_drops, 0, "client socket dropped: {:?}", t.client);
+    assert_eq!(t.server.kernel_drops, 0, "server socket dropped: {:?}", t.server);
+    assert!(t.server.rcvbuf_bytes > 0);
+    let e = t.client_engine;
+    assert_eq!(e.rto_retransmits + e.fast_retransmits, 0, "client retransmitted: {e:?}");
+}
+
+/// A QP with more receive-WR space posted than its node's socket buffer
+/// holds advertises the buffer's worth, not the posted space.
+#[test]
+fn advertised_window_never_exceeds_the_socket_buffer_cap() {
+    let _shared = shared_cores();
+    // a 16 MiB engine buffer: the node clamps it to the cap, whose window
+    // scale can still express twice the cap, so only the cap holds the
+    // posted space down
+    let net = NetConfig { recv_buffer: 16 << 20, ..NetConfig::qpip(9000) };
+    let cfg = XportConfig { net, ..XportConfig::default() };
+    let mut client = XportNode::bind(FABRIC_A, cfg.clone()).unwrap();
+    let mut server = XportNode::bind(FABRIC_B, cfg).unwrap();
+    client.add_peer(FABRIC_B, server.local_addr().unwrap());
+    server.add_peer(FABRIC_A, client.local_addr().unwrap());
+    let rec = Arc::new(FlightRecorder::new(4096));
+    client.set_tracer(Tracer::new(Arc::clone(&rec), 0));
+
+    let cap = server.recv_window_cap();
+    let len = 8192;
+    let wrs = cap / len as u64 * 2;
+    let scq = server.create_cq();
+    let sqp = server.create_qp(ServiceType::ReliableTcp, scq, scq).unwrap();
+    server.tcp_listen(sqp, 5001).unwrap();
+    for i in 0..wrs {
+        server.post_recv(sqp, RecvWr { wr_id: i, capacity: len }).unwrap();
+    }
+    let ccq = client.create_cq();
+    let cqp = client.create_qp(ServiceType::ReliableTcp, ccq, ccq).unwrap();
+    client.tcp_connect(cqp, 5000, Endpoint::new(FABRIC_B, 5001)).unwrap();
+
+    // the client's view of the server's window, sampled through the
+    // handshake, a message and a window refresh
+    let conn = |rec: &FlightRecorder| rec.events().first().map(|r| ConnId(r.conn));
+    let mut peak = 0u64;
+    let until = Instant::now() + Duration::from_millis(250);
+    let mut sent = false;
+    while Instant::now() < until {
+        server.pump(Duration::ZERO).unwrap();
+        client.pump(Duration::from_millis(1)).unwrap();
+        while let Some(c) = client.poll(ccq).unwrap() {
+            if c.kind == CompletionKind::ConnectionEstablished && !sent {
+                let msg = SendWr { wr_id: 0, payload: message(0, len), dst: None };
+                client.post_send(cqp, msg).unwrap();
+                sent = true;
+            }
+        }
+        if let Some(w) = conn(&rec).and_then(|c| client.engine().conn_snd_wnd(c)) {
+            peak = peak.max(w);
+        }
+    }
+    assert!(sent, "connection never established");
+    assert!(wrs * len as u64 > cap, "the posted space must exceed the cap");
+    assert!(peak <= cap, "peer advertised {peak} B past the {cap} B cap");
+    assert!(peak > cap / 2, "the window never opened to the cap: {peak} B of {cap} B");
 }
 
 /// The acceptance test: a transfer through the impairment proxy at 2%
@@ -200,6 +319,7 @@ fn tcp_transfer_direct() {
 /// wire, provides reliability.
 #[test]
 fn tcp_transfer_survives_loss_and_reordering() {
+    let _shared = shared_cores();
     let mut client = node(FABRIC_A);
     let mut server = node(FABRIC_B);
     let proxy = ImpairProxy::new(ImpairConfig {
@@ -217,12 +337,13 @@ fn tcp_transfer_survives_loss_and_reordering() {
     server.add_peer(FABRIC_A, proxy.addr());
 
     let (count, len) = (300, 1024);
-    let (received, retransmissions) = transfer(client, server, count, len);
-    assert_exactly_once_in_order(&received, count, len);
+    let t = transfer(client, server, count, len, Duration::ZERO);
+    assert_exactly_once_in_order(&t.received, count, len);
 
     let stats = proxy.stats();
     assert!(stats.dropped > 0, "the proxy never dropped anything: {stats:?}");
-    assert!(retransmissions > 0, "loss recovery never ran; proxy stats {stats:?}");
+    let e = t.client_engine;
+    assert!(e.rto_retransmits + e.fast_retransmits > 0, "loss recovery never ran; proxy {stats:?}");
     proxy.stop();
 }
 
@@ -233,6 +354,7 @@ fn tcp_transfer_survives_loss_and_reordering() {
 /// is not.
 #[test]
 fn lossy_proxied_transfer_traces_retransmits() {
+    let _shared = shared_cores();
     let mut client = node(FABRIC_A);
     let mut server = node(FABRIC_B);
     let rec = Arc::new(FlightRecorder::new(65536));
@@ -251,9 +373,12 @@ fn lossy_proxied_transfer_traces_retransmits() {
     server.add_peer(FABRIC_A, proxy.addr());
 
     let (count, len) = (300, 1024);
-    let (received, retransmissions) = transfer(client, server, count, len);
-    assert_exactly_once_in_order(&received, count, len);
-    assert!(retransmissions > 0, "loss recovery never ran");
+    let t = transfer(client, server, count, len, Duration::ZERO);
+    assert_exactly_once_in_order(&t.received, count, len);
+    assert!(
+        t.client_engine.rto_retransmits + t.client_engine.fast_retransmits > 0,
+        "loss recovery never ran"
+    );
     proxy.stop();
 
     let events = rec.events();
@@ -279,6 +404,7 @@ fn lossy_proxied_transfer_traces_retransmits() {
 
 #[test]
 fn messages_backlog_until_recv_wrs_are_posted() {
+    let _shared = shared_cores();
     let mut client = node(FABRIC_A);
     let mut server = node(FABRIC_B);
     client.add_peer(FABRIC_B, server.local_addr().unwrap());
@@ -358,6 +484,8 @@ fn wait_times_out_with_diagnostic_instead_of_hanging() {
             assert!(d.contains("cq#0"), "diagnostic names the CQ: {d}");
             assert!(d.contains("qp#0"), "diagnostic lists QPs: {d}");
             assert!(d.contains("fabric"), "diagnostic names the node: {d}");
+            assert!(d.contains("0 kernel drops"), "diagnostic counts kernel drops: {d}");
+            assert!(d.contains("rcvbuf"), "diagnostic names the socket buffer: {d}");
         }
         other => panic!("expected WaitTimeout, got {other:?}"),
     }
