@@ -142,9 +142,9 @@ pub fn socket_tcp_rtt(which: Baseline, payload: usize, rounds: usize) -> RttResu
     let warmup = 4;
     for round in 0..rounds + warmup {
         let t0 = w.app_time(a);
-        w.send_blocking(a, cs, vec![0x5a; payload]).unwrap();
+        w.send_blocking(a, cs, &vec![0x5a; payload]).unwrap();
         let _ = w.recv_exact(b, ss, payload);
-        w.send_blocking(b, ss, vec![0xa5; payload]).unwrap();
+        w.send_blocking(b, ss, &vec![0xa5; payload]).unwrap();
         let _ = w.recv_exact(a, cs, payload);
         if round >= warmup {
             samples.record(w.app_time(a).duration_since(t0).as_micros_f64());

@@ -126,13 +126,14 @@ pub fn socket_ttcp(which: Baseline, total_bytes: u64, chunk: usize) -> TtcpResul
     let mut t_end = SimTime::ZERO;
     // blocked-writer state: after WouldBlock, sleep until SendSpace
     let mut awaiting_space = false;
+    let buf = vec![0x42; chunk];
 
     while received < total {
         let mut progress = false;
         if !awaiting_space {
             while sent < total {
                 let n = chunk.min(total - sent);
-                if w.try_send(a, cs, vec![0x42; n]).expect("send") {
+                if w.try_send(a, cs, &buf[..n]).expect("send") {
                     sent += n;
                     progress = true;
                 } else {
@@ -142,7 +143,9 @@ pub fn socket_ttcp(which: Baseline, total_bytes: u64, chunk: usize) -> TtcpResul
                 }
             }
         }
-        // receiver drains in chunk-sized reads, like ttcp -r
+        // receiver drains in chunk-sized reads, like ttcp -r; it polls
+        // `readable`, so its wakeup log is never read
+        w.clear_events(b);
         while w.readable(b, ss) > 0 && received < total {
             let data = w.recv_available(b, ss, chunk);
             received += data.len();

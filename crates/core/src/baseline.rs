@@ -209,13 +209,13 @@ impl SocketWorld {
         &mut self,
         node: NodeIdx,
         sock: SockId,
-        data: Vec<u8>,
+        data: &[u8],
     ) -> Result<(), SockError> {
         // a blocking write loops over pieces the socket buffer can hold
         let mut offset = 0;
         while offset < data.len() {
             let n = (data.len() - offset).min(16 * 1024);
-            let piece = data[offset..offset + n].to_vec();
+            let piece = &data[offset..offset + n];
             let t = self.nodes[node.0].app_time.max(self.sim.now());
             let (outcome, outs) = self.nodes[node.0].stack.send(t, sock, piece)?;
             self.absorb(node.0, outs);
@@ -278,7 +278,7 @@ impl SocketWorld {
         &mut self,
         node: NodeIdx,
         sock: SockId,
-        data: Vec<u8>,
+        data: &[u8],
     ) -> Result<bool, SockError> {
         let t = self.nodes[node.0].app_time.max(self.sim.now());
         let (outcome, outs) = self.nodes[node.0].stack.send(t, sock, data)?;
@@ -526,7 +526,7 @@ mod tests {
     fn sockets_connect_and_transfer_over_gige_fabric() {
         let (mut w, a, b, cs, ss) = connected_gige();
         let payload: Vec<u8> = (0..60_000u32).map(|i| (i % 251) as u8).collect();
-        w.send_blocking(a, cs, payload.clone()).unwrap();
+        w.send_blocking(a, cs, &payload).unwrap();
         let got = w.recv_exact(b, ss, payload.len());
         assert_eq!(got, payload);
     }
@@ -534,7 +534,7 @@ mod tests {
     #[test]
     fn gige_transfer_burns_host_cpu_on_both_sides() {
         let (mut w, a, b, cs, ss) = connected_gige();
-        w.send_blocking(a, cs, vec![0; 64 * 1024]).unwrap();
+        w.send_blocking(a, cs, &[0; 64 * 1024]).unwrap();
         let _ = w.recv_exact(b, ss, 64 * 1024);
         assert!(w.cpu(a).total_cycles() > 50_000, "{}", w.cpu(a).total_cycles());
         assert!(w.cpu(b).total_cycles() > 50_000, "{}", w.cpu(b).total_cycles());
@@ -574,7 +574,7 @@ mod tests {
         let remote = Endpoint::new(w.addr(b), 5000);
         w.connect_blocking(a, cs, 4000, remote).unwrap();
         let ss = w.accept_blocking(b, ls);
-        w.send_blocking(a, cs, vec![3; 32 * 1024]).unwrap();
+        w.send_blocking(a, cs, &[3; 32 * 1024]).unwrap();
         let got = w.recv_exact(b, ss, 32 * 1024);
         assert_eq!(got.len(), 32 * 1024);
         // 9000-byte MTU → at most ceil(32768/8928) + handshake frames

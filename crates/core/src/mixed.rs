@@ -392,7 +392,7 @@ impl MixedWorld {
         &mut self,
         node: NodeIdx,
         sock: SockId,
-        data: Vec<u8>,
+        data: &[u8],
     ) -> Result<(), qpip_host::SockError> {
         // a blocking write loops over pieces the socket buffer can hold
         let mut offset = 0;
@@ -405,7 +405,7 @@ impl MixedWorld {
             };
             let (outcome, outs) = {
                 let (stack, _, _) = self.host(node);
-                stack.send(t, sock, data[offset..offset + n].to_vec())?
+                stack.send(t, sock, &data[offset..offset + n])?
             };
             self.absorb_host(node.0, outs);
             match outcome {

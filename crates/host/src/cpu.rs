@@ -6,8 +6,6 @@
 //! timeline and keeps a per-category cycle breakdown so both numbers
 //! fall out of one mechanism.
 
-use std::collections::HashMap;
-
 use qpip_sim::params;
 use qpip_sim::resource::SerialResource;
 use qpip_sim::time::{Clock, Cycles, SimDuration, SimTime};
@@ -33,6 +31,21 @@ pub enum WorkClass {
     Verbs,
 }
 
+impl WorkClass {
+    /// Every class, in declaration (and therefore `Ord`) order; the
+    /// ledger indexes its per-class totals by position in this list.
+    const ALL: [WorkClass; 8] = [
+        WorkClass::App,
+        WorkClass::Syscall,
+        WorkClass::Protocol,
+        WorkClass::Copy,
+        WorkClass::Interrupt,
+        WorkClass::Driver,
+        WorkClass::Filesystem,
+        WorkClass::Verbs,
+    ];
+}
+
 /// A host processor timeline with categorized cycle accounting.
 ///
 /// # Examples
@@ -51,7 +64,9 @@ pub enum WorkClass {
 pub struct CpuLedger {
     clock: Clock,
     timeline: SerialResource,
-    by_class: HashMap<WorkClass, u64>,
+    /// Cycles per class, indexed by `class as usize`: a charge is one
+    /// add, which matters at millions of charges per bulk run.
+    by_class: [u64; WorkClass::ALL.len()],
 }
 
 impl CpuLedger {
@@ -60,7 +75,7 @@ impl CpuLedger {
         CpuLedger {
             clock: params::host_clock(),
             timeline: SerialResource::new("host-cpu"),
-            by_class: HashMap::new(),
+            by_class: [0; WorkClass::ALL.len()],
         }
     }
 
@@ -75,7 +90,7 @@ impl CpuLedger {
         if cycles == 0 {
             return now.max(self.timeline.next_free());
         }
-        *self.by_class.entry(class).or_insert(0) += cycles;
+        self.by_class[class as usize] += cycles;
         let d = self.clock.cycles_to_duration(Cycles(cycles));
         self.timeline.acquire(now, d)
     }
@@ -109,24 +124,22 @@ impl CpuLedger {
 
     /// Total cycles charged to a class.
     pub fn cycles(&self, class: WorkClass) -> u64 {
-        self.by_class.get(&class).copied().unwrap_or(0)
+        self.by_class[class as usize]
     }
 
     /// Total cycles charged across all classes.
     pub fn total_cycles(&self) -> u64 {
-        self.by_class.values().sum()
+        self.by_class.iter().sum()
     }
 
-    /// Per-class breakdown, sorted.
+    /// Per-class breakdown of the classes charged so far, sorted.
     pub fn breakdown(&self) -> Vec<(WorkClass, u64)> {
-        let mut v: Vec<_> = self.by_class.iter().map(|(&k, &c)| (k, c)).collect();
-        v.sort();
-        v
+        WorkClass::ALL.into_iter().map(|k| (k, self.cycles(k))).filter(|&(_, c)| c > 0).collect()
     }
 
     /// Forgets accumulated statistics (the timeline position is kept).
     pub fn reset_stats(&mut self) {
-        self.by_class.clear();
+        self.by_class = [0; WorkClass::ALL.len()];
         self.timeline.reset_stats();
     }
 }
@@ -183,6 +196,14 @@ mod tests {
         let t = cpu.charge(SimTime::ZERO, WorkClass::App, 0);
         assert_eq!(t, SimTime::from_micros(10));
         assert_eq!(cpu.total_cycles(), 5_500);
+    }
+
+    #[test]
+    fn class_index_is_its_position_in_ord_order() {
+        for (i, k) in WorkClass::ALL.into_iter().enumerate() {
+            assert_eq!(k as usize, i, "{k:?}");
+        }
+        assert!(WorkClass::ALL.windows(2).all(|w| w[0] < w[1]));
     }
 
     #[test]

@@ -380,7 +380,9 @@ impl HostStack {
 
     // ----- data path -------------------------------------------------------
 
-    /// Writes `data` to a connected TCP socket.
+    /// Writes `data` to a connected TCP socket. The bytes are copied
+    /// into the socket only once the send buffer admits them: a
+    /// [`SendOutcome::WouldBlock`] copies and allocates nothing.
     ///
     /// # Errors
     ///
@@ -389,8 +391,9 @@ impl HostStack {
         &mut self,
         now: SimTime,
         sock: SockId,
-        data: Vec<u8>,
+        data: impl AsRef<[u8]>,
     ) -> Result<(SendOutcome, Vec<HostOutput>), SockError> {
+        let data = data.as_ref();
         let s = self.socks.get(&sock).ok_or(SockError::UnknownSock(sock))?;
         let Some(conn) = s.conn else {
             return Err(SockError::InvalidState("send on unconnected socket"));
@@ -413,7 +416,7 @@ impl HostStack {
         }
         let token = SendToken(self.next_token);
         self.next_token += 1;
-        let emits = self.engine.tcp_send(t, conn, data, token)?;
+        let emits = self.engine.tcp_send(t, conn, data.to_vec(), token)?;
         let mut out = Vec::new();
         let done = self.process_emits(t, emits, &mut out);
         Ok((SendOutcome::Sent { done }, out))
@@ -434,7 +437,13 @@ impl HostStack {
     ) -> Result<(Vec<u8>, SimTime), SockError> {
         let s = self.socks.get_mut(&sock).ok_or(SockError::UnknownSock(sock))?;
         let take = s.rx.len().min(max);
-        let data: Vec<u8> = s.rx.drain(..take).collect();
+        // two memcpys out of the ring, then an O(1) discard
+        let (front, back) = s.rx.as_slices();
+        let from_front = take.min(front.len());
+        let mut data = Vec::with_capacity(take);
+        data.extend_from_slice(&front[..from_front]);
+        data.extend_from_slice(&back[..take - from_front]);
+        s.rx.drain(..take);
         let mut t = self.cpu.charge(
             now,
             WorkClass::Syscall,
@@ -696,5 +705,52 @@ impl HostStack {
             }
         }
         t
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A refused write is the syscall's entry and nothing else: no bytes
+    /// enter the send buffer, no copy or protocol work is charged, and
+    /// no send token is spent.
+    #[test]
+    fn refused_send_charges_one_syscall_and_changes_nothing_else() {
+        let addr = Ipv6Addr::new(0xfc00, 0, 0, 0, 0, 0, 0, 1);
+        let mut host = HostStack::new(StackConfig::gige(), addr);
+        let ls = host.tcp_socket();
+        host.listen(ls, 9000).unwrap();
+        let cs = host.tcp_socket();
+        // loop the stack's frames back to itself until the handshake is done
+        let mut frames: VecDeque<qpip_wire::Packet> = VecDeque::new();
+        let push = |outs: Vec<HostOutput>, frames: &mut VecDeque<qpip_wire::Packet>| {
+            frames.extend(outs.into_iter().filter_map(|o| match o {
+                HostOutput::Frame { bytes, .. } => Some(bytes),
+                _ => None,
+            }));
+        };
+        let mut now = SimTime::ZERO;
+        push(host.connect(now, cs, 9001, Endpoint::new(addr, 9000)).unwrap(), &mut frames);
+        while let Some(f) = frames.pop_front() {
+            now = now.max(host.cpu().next_free());
+            let outs = host.on_frame(now, &f);
+            push(outs, &mut frames);
+        }
+        let conn = host.socks[&cs].conn.expect("connected");
+        // fill the send buffer; the frames are never delivered
+        let piece = [0x33; 16 * 1024];
+        while let (SendOutcome::Sent { .. }, _) = host.send(now, cs, &piece[..]).unwrap() {}
+
+        let buffered = host.engine.conn_bytes_buffered(conn);
+        let token = host.next_token;
+        let (syscall, total) = (host.cpu.cycles(WorkClass::Syscall), host.cpu.total_cycles());
+        let (outcome, outs) = host.send(now, cs, &piece[..]).unwrap();
+        assert_eq!(outcome, SendOutcome::WouldBlock);
+        assert!(outs.is_empty());
+        assert_eq!(host.engine.conn_bytes_buffered(conn), buffered);
+        assert_eq!(host.next_token, token);
+        assert_eq!(host.cpu.cycles(WorkClass::Syscall) - syscall, params::HOST_SYSCALL_CYCLES);
+        assert_eq!(host.cpu.total_cycles() - total, params::HOST_SYSCALL_CYCLES, "other classes");
     }
 }

@@ -101,7 +101,7 @@ impl Net {
 fn graceful_close_delivers_eof_after_data() {
     let mut n = Net::new();
     let (cs, ss) = n.connect();
-    let (_, outs) = n.a.send(n.now, cs, b"last words".to_vec()).unwrap();
+    let (_, outs) = n.a.send(n.now, cs, b"last words").unwrap();
     n.absorb(true, outs);
     let outs = n.a.close(n.now, cs).unwrap();
     n.absorb(true, outs);

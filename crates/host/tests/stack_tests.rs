@@ -1,12 +1,13 @@
 //! Host-stack integration: two socket nodes over a pseudo-wire, the
 //! loopback overhead path (Table 1's methodology), and CPU accounting.
 
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::net::Ipv6Addr;
 
-use qpip_host::{HostOutput, HostStack, SendOutcome, SockId, StackConfig, WorkClass};
+use qpip_host::{CpuLedger, HostOutput, HostStack, SendOutcome, SockId, StackConfig, WorkClass};
 use qpip_netstack::types::Endpoint;
 use qpip_sim::params;
+use qpip_sim::rng::SplitMix64;
 use qpip_sim::time::{SimDuration, SimTime};
 
 fn addr(n: u16) -> Ipv6Addr {
@@ -278,4 +279,93 @@ fn loopback_one_byte_overhead_matches_table1() {
     );
     assert_eq!(host.interrupts(), 0, "loopback takes no interrupts");
     assert_eq!(host.cpu().cycles(WorkClass::Driver), 0, "no driver on loopback");
+}
+
+/// Uneven writes and reads over one connection: every read either
+/// leaves bytes behind or asks for more than is there, so deliveries
+/// keep landing behind a moved ring head and the receive ring wraps.
+/// Each read must return exactly the next bytes of the stream.
+#[test]
+fn recv_returns_exact_in_order_bytes_as_the_ring_wraps() {
+    let mut n = Net::new(StackConfig::gige());
+    let (cs, ss) = n.connect();
+    let total = 300_000usize;
+    let stream: Vec<u8> = (0..total).map(|i| (i % 251) as u8).collect();
+    let writes = [3000, 16 * 1024, 1, 7777, 999];
+    let reads = [500, 40_000, 1, 4096, 12_345, usize::MAX];
+    let (mut sent, mut got) = (0usize, Vec::new());
+    let (mut short_reads, mut long_reads) = (0, 0);
+    for turn in 0.. {
+        assert!(turn < 100_000, "stalled at {} bytes", got.len());
+        let mut moved = false;
+        if sent < total {
+            let len = writes[turn % writes.len()].min(total - sent);
+            if let (SendOutcome::Sent { .. }, outs) =
+                n.a.send(n.now, cs, &stream[sent..sent + len]).unwrap()
+            {
+                sent += len;
+                moved = true;
+                n.absorb(true, outs);
+            }
+        }
+        n.run();
+        let readable = n.b.readable(ss);
+        if readable > 0 {
+            let max = reads[turn % reads.len()];
+            if max < readable {
+                short_reads += 1;
+            } else {
+                long_reads += 1;
+            }
+            let (data, _) = n.b.recv(n.now, ss, max).unwrap();
+            let at = got.len();
+            assert_eq!(data.len(), readable.min(max));
+            assert!(data[..] == stream[at..at + data.len()], "wrong bytes in the read at {at}");
+            assert_eq!(n.b.readable(ss), readable - data.len());
+            got.extend(data);
+            moved = true;
+        }
+        if !moved && !n.fire_timers() {
+            break;
+        }
+    }
+    assert_eq!(got.len(), total);
+    assert!(short_reads > 10 && long_reads > 10, "{short_reads} short, {long_reads} long reads");
+}
+
+/// `breakdown()` lists exactly the classes charged a positive number of
+/// cycles, in `WorkClass` order, with their totals — what a map of
+/// charged classes sorted by key gives, which the test keeps as its
+/// reference.
+#[test]
+fn cpu_breakdown_lists_charged_classes_in_order() {
+    // charged: App, Copy, Interrupt, Verbs; charged only zero cycles:
+    // Syscall, Filesystem; never charged: Protocol, Driver
+    let charged = [WorkClass::Verbs, WorkClass::Copy, WorkClass::App, WorkClass::Interrupt];
+    let zero = [WorkClass::Filesystem, WorkClass::Syscall];
+    let mut cpu = CpuLedger::new();
+    let mut reference: HashMap<WorkClass, u64> = HashMap::new();
+    let mut rng = SplitMix64::new(0x1ed6e2);
+    for _ in 0..1000 {
+        if rng.chance(1, 4) {
+            cpu.charge(SimTime::ZERO, zero[rng.below(2) as usize], 0);
+        } else {
+            let class = charged[rng.below(4) as usize];
+            let cycles = rng.range(1, 10_000);
+            cpu.charge(SimTime::ZERO, class, cycles);
+            *reference.entry(class).or_insert(0) += cycles;
+        }
+    }
+    let mut want: Vec<(WorkClass, u64)> = reference.into_iter().collect();
+    want.sort();
+    assert_eq!(cpu.breakdown(), want);
+    let order: Vec<WorkClass> = cpu.breakdown().into_iter().map(|(k, _)| k).collect();
+    assert_eq!(order, [WorkClass::App, WorkClass::Copy, WorkClass::Interrupt, WorkClass::Verbs]);
+    assert_eq!(cpu.total_cycles(), want.iter().map(|&(_, c)| c).sum::<u64>());
+    for class in zero.into_iter().chain([WorkClass::Protocol, WorkClass::Driver]) {
+        assert_eq!(cpu.cycles(class), 0, "{class:?}");
+    }
+    cpu.reset_stats();
+    assert!(cpu.breakdown().is_empty());
+    assert_eq!(cpu.total_cycles(), 0);
 }

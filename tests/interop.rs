@@ -42,7 +42,7 @@ fn socket_client_connects_to_qpip_server() {
     let c = w.wait_matching(q, cq, |c| c.kind == CompletionKind::ConnectionEstablished);
     assert_eq!(c.status, qpip::CompletionStatus::Success);
 
-    w.send_blocking(h, cs, b"from a plain socket".to_vec()).unwrap();
+    w.send_blocking(h, cs, b"from a plain socket").unwrap();
     let c = w.wait_matching(q, cq, |c| matches!(c.kind, CompletionKind::Recv { .. }));
     let CompletionKind::Recv { data, .. } = c.kind else { unreachable!() };
     // the socket side streamed; here the write was small enough to
@@ -76,7 +76,7 @@ fn qpip_client_talks_to_socket_server_and_back() {
     assert_eq!(got, b"hello socket", "the remote end sees a conventional stream (§3)");
 
     // socket → QP: the reply surfaces as a receive completion
-    w.send_blocking(h, ss, b"and hello queue pair".to_vec()).unwrap();
+    w.send_blocking(h, ss, b"and hello queue pair").unwrap();
     let c = w.wait_matching(q, cq, |c| matches!(c.kind, CompletionKind::Recv { .. }));
     let CompletionKind::Recv { data, .. } = c.kind else { unreachable!() };
     assert_eq!(data, b"and hello queue pair");
@@ -102,7 +102,7 @@ fn cost_models_differ_across_the_same_wire() {
     // 32-buffer window: a single blocking write cannot deadlock against
     // the receiver's buffer posting)
     let total = 128 * 1024;
-    w.send_blocking(h, ss, vec![0x7e; total]).unwrap();
+    w.send_blocking(h, ss, &vec![0x7e; total]).unwrap();
     let mut got = 0usize;
     while got < total {
         let c = w.wait_matching(q, cq, |c| matches!(c.kind, CompletionKind::Recv { .. }));
