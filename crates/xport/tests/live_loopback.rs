@@ -104,6 +104,8 @@ struct Transfer {
     /// Client engine counters, sampled before close: the teardown that
     /// follows is not part of the transfer.
     client_engine: EngineStats,
+    /// Server engine counters, sampled when its last message arrived.
+    server_engine: EngineStats,
     /// Both nodes' runtime counters, sampled while their sockets live.
     client: XportStats,
     server: XportStats,
@@ -156,25 +158,32 @@ fn transfer(
     // on the server is teardown, not transfer
     let client_engine = client.engine().stats();
     client.tcp_close(qp).unwrap();
-    let (received, server_stats) = server_thread.join().expect("server thread");
+    let (received, server_engine, server_stats) = server_thread.join().expect("server thread");
     // let the FIN handshake drain; nothing is asserted about it (under
     // loss the teardown may outlive our patience — data already landed)
     let until = Instant::now() + Duration::from_millis(300);
     while Instant::now() < until {
         client.pump(Duration::from_millis(10)).unwrap();
     }
-    Transfer { received, client_engine, client: client.stats(), server: server_stats }
+    Transfer {
+        received,
+        client_engine,
+        server_engine,
+        client: client.stats(),
+        server: server_stats,
+    }
 }
 
 /// Server side: one listening QP, keeps `QUEUE` receive WRs posted,
 /// collects `count` messages (idling `pause` after each), then closes.
-/// Returns the messages and the server's counters.
+/// Returns the messages, the server's engine counters as the last
+/// message arrived and its runtime counters.
 fn run_server(
     mut server: XportNode,
     count: u32,
     len: usize,
     pause: Duration,
-) -> (Vec<Vec<u8>>, XportStats) {
+) -> (Vec<Vec<u8>>, EngineStats, XportStats) {
     const QUEUE: u32 = 64;
     let cq = server.create_cq();
     let qp = server.create_qp(ServiceType::ReliableTcp, cq, cq).unwrap();
@@ -205,12 +214,13 @@ fn run_server(
             other => panic!("unexpected completion {other:?}"),
         }
     }
+    let engine = server.engine().stats();
     let _ = server.tcp_close(qp);
     let until = Instant::now() + Duration::from_millis(300);
     while Instant::now() < until {
         server.pump(Duration::from_millis(10)).unwrap();
     }
-    (got, server.stats())
+    (got, engine, server.stats())
 }
 
 fn assert_exactly_once_in_order(received: &[Vec<u8>], count: u32, len: usize) {
@@ -247,6 +257,11 @@ fn direct_stream_loses_no_datagram_in_the_kernel() {
     client.add_peer(FABRIC_B, server.local_addr().unwrap());
     server.add_peer(FABRIC_A, client.local_addr().unwrap());
 
+    // the client's history goes into the failure message: the stream
+    // records ~10 events per message, all of which the rings keep
+    let rec = Arc::new(FlightRecorder::new(1 << 15));
+    client.set_tracer(Tracer::new(Arc::clone(&rec), 0));
+
     let (count, len) = (1024, 8192);
     let t = transfer(client, server, count, len, Duration::from_micros(100));
     assert_exactly_once_in_order(&t.received, count, len);
@@ -254,7 +269,21 @@ fn direct_stream_loses_no_datagram_in_the_kernel() {
     assert_eq!(t.server.kernel_drops, 0, "server socket dropped: {:?}", t.server);
     assert!(t.server.rcvbuf_bytes > 0);
     let e = t.client_engine;
-    assert_eq!(e.rto_retransmits + e.fast_retransmits, 0, "client retransmitted: {e:?}");
+    // what led up to the first retransmission and what followed it
+    let around_first_retransmit = || {
+        let evs = rec.events();
+        let at = evs.iter().position(|r| matches!(r.ev, TraceEvent::Retransmit { .. }));
+        let at = at.unwrap_or(evs.len());
+        qpip_trace::export::dump(&evs[at.saturating_sub(24)..(at + 40).min(evs.len())])
+    };
+    assert_eq!(
+        e.rto_retransmits + e.fast_retransmits,
+        0,
+        "client retransmitted: {e:?}\nserver engine: {:?}\nclient events around the first \
+         retransmission:\n{}",
+        t.server_engine,
+        around_first_retransmit()
+    );
 }
 
 /// A QP with more receive-WR space posted than its node's socket buffer
