@@ -1,15 +1,21 @@
-//! Golden outputs of the five paper binaries: each one's stdout at its
-//! default arguments must match the checked-in fixture byte for byte.
+//! Golden outputs of the deterministic bench binaries (the five paper
+//! binaries plus `ablations`, `rdma_bench` and `latency_sweep`): each
+//! one's stdout at its default arguments must match the checked-in
+//! fixture byte for byte.
 //!
 //! The simulation is deterministic, so any difference means a cost,
 //! protocol or reporting change moved a printed figure. A change that
 //! means to move one regenerates the fixture in the same commit:
 //!
 //! ```sh
-//! for b in fig3_rtt fig4_throughput table1_overhead tables23_occupancy fig7_nbd; do
+//! for b in fig3_rtt fig4_throughput table1_overhead tables23_occupancy fig7_nbd \
+//!          ablations rdma_bench latency_sweep; do
 //!     cargo run --release -q -p qpip-bench --bin $b > crates/bench/tests/golden/$b.stdout
 //! done
 //! ```
+//!
+//! `manyflow` and `xport_ttcp` print wall-clock figures, so they have no
+//! fixture.
 //!
 //! The gate lives in `qpip-bench` rather than the root package because
 //! `env!("CARGO_BIN_EXE_<bin>")` only names binaries of the package the
@@ -72,4 +78,19 @@ fn tables23_occupancy_matches_golden() {
 #[test]
 fn fig7_nbd_matches_golden() {
     check("fig7_nbd", env!("CARGO_BIN_EXE_fig7_nbd"));
+}
+
+#[test]
+fn ablations_matches_golden() {
+    check("ablations", env!("CARGO_BIN_EXE_ablations"));
+}
+
+#[test]
+fn rdma_bench_matches_golden() {
+    check("rdma_bench", env!("CARGO_BIN_EXE_rdma_bench"));
+}
+
+#[test]
+fn latency_sweep_matches_golden() {
+    check("latency_sweep", env!("CARGO_BIN_EXE_latency_sweep"));
 }
