@@ -345,10 +345,11 @@ impl MixedWorld {
         loop {
             {
                 let (_, events, _) = self.host(node);
-                if events
+                if let Some(pos) = events
                     .iter()
-                    .any(|e| matches!(e, HostOutput::Connected { sock: s, .. } if *s == sock))
+                    .position(|e| matches!(e, HostOutput::Connected { sock: s, .. } if *s == sock))
                 {
+                    events.remove(pos);
                     return Ok(());
                 }
             }
@@ -558,10 +559,16 @@ impl MixedWorld {
                         let n = &mut self.nodes[node];
                         n.app_time = n.app_time.max(*at);
                     }
-                    let Backend::Host { events, .. } = &mut self.nodes[node].backend else {
-                        unreachable!()
-                    };
-                    events.push(ev);
+                    // only connect_blocking and accept_blocking read the
+                    // log, and each removes the event it returns on; the
+                    // send/recv helpers poll the stack, so keeping their
+                    // per-segment wake-ups would grow it with every byte
+                    if matches!(ev, HostOutput::Connected { .. } | HostOutput::Accepted { .. }) {
+                        let Backend::Host { events, .. } = &mut self.nodes[node].backend else {
+                            unreachable!()
+                        };
+                        events.push(ev);
+                    }
                 }
             }
         }
@@ -590,5 +597,40 @@ impl MixedWorld {
             }
             (None, None) => {}
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A bulk stream between two socket hosts wakes the reader and the
+    /// writer once per segment or so; none of those wake-ups may pile up
+    /// in a host's event log, and the consumed connect/accept events are
+    /// gone too.
+    #[test]
+    fn host_event_log_stays_bounded_over_a_bulk_stream() {
+        const LEN: usize = 1 << 20;
+        let mut w = MixedWorld::new(FabricConfig::gigabit_ethernet());
+        let a = w.add_host_node(StackConfig::gige());
+        let b = w.add_host_node(StackConfig::gige());
+        let ls = w.tcp_socket(b);
+        w.listen(b, ls, 80).unwrap();
+        let cs = w.tcp_socket(a);
+        let remote = Endpoint::new(w.addr(b), 80);
+        w.connect_blocking(a, cs, 4000, remote).unwrap();
+        let ss = w.accept_blocking(b, ls);
+
+        let data: Vec<u8> = (0..LEN).map(|i| (i % 251) as u8).collect();
+        let mut got = Vec::with_capacity(LEN);
+        for piece in data.chunks(64 * 1024) {
+            w.send_blocking(a, cs, piece).unwrap();
+            got.extend(w.recv_exact(b, ss, piece.len()));
+            for node in [a, b] {
+                let log = w.host(node).1.len();
+                assert_eq!(log, 0, "node {} holds {log} unconsumed events", node.0);
+            }
+        }
+        assert_eq!(got, data);
     }
 }

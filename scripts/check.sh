@@ -23,7 +23,8 @@ cargo fmt --check
 # Smoke-run every experiment binary: each must exit cleanly and report
 # zero [MISS] shape checks. fig7_nbd without --full and manyflow with
 # --smoke are the quick configurations; the rest are already fast.
-for bin in fig3_rtt fig4_throughput table1_overhead tables23_occupancy fig7_nbd; do
+for bin in fig3_rtt fig4_throughput table1_overhead tables23_occupancy fig7_nbd \
+    ablations rdma_bench latency_sweep; do
     echo "==> smoke: $bin"
     out="$(./target/release/$bin)"
     if grep -q '\[MISS\]' <<<"$out"; then
